@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint sarif check bench benchdiff obscheck trace comm soak bundles
+.PHONY: build test race vet fmt lint sarif check bench benchdiff obscheck trace comm soak bundles fuzz
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,20 @@ soak:
 	$(GO) test -race -count=1 -v \
 		-run 'TestNodeLossSoak|TestChaosSoak' ./internal/refexec/ \
 		| tee soak.log
+
+# fuzz runs every Fuzz* target in the module for FUZZTIME each,
+# starting from its committed seed corpus under testdata/fuzz. Plain
+# `go test` (and so `make race`) already replays the seed corpora; this
+# target mutates beyond them. A crasher lands in testdata/fuzz and
+# fails the target.
+FUZZTIME ?= 10s
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$fn ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f); \
+		done; \
+	done
 
 # bench runs the shuffle hot-path microbenchmarks (kvio framing,
 # MPI_D_Send, dfs memory tier) and writes the parsed numbers to

@@ -97,8 +97,14 @@ func (o *OContext) Metrics() *trace.Task { return o.metrics }
 // to the garbage collector (SendQueueSize buffers can be in flight).
 const maxFreeBuffers = 8
 
-// getBuf returns an empty partition buffer with full send-buffer
-// capacity, reusing a previously flushed one when available.
+// initialBufBytes is the capacity a new partition buffer starts with.
+// Most partitions only ever hold a small residual that finalize forces
+// out, so buffers start small and append grows the busy ones; flushes
+// fire on buffered length, never capacity, so this changes no flush.
+const initialBufBytes = 2 << 10
+
+// getBuf returns an empty partition buffer, reusing a previously
+// flushed one when available.
 func (o *OContext) getBuf() []byte {
 	o.bufMu.Lock()
 	if n := len(o.freeBuf); n > 0 {
@@ -108,9 +114,9 @@ func (o *OContext) getBuf() []byte {
 		return b[:0]
 	}
 	o.bufMu.Unlock()
-	// Slack beyond the flush threshold so the pair that trips the
-	// threshold rarely forces a reallocation.
-	return make([]byte, 0, o.job.cfg.SendBufferBytes+512)
+	// Tiny send buffers start at their threshold plus slack, so the
+	// pair that trips the threshold rarely forces a reallocation.
+	return make([]byte, 0, min(o.job.cfg.SendBufferBytes+512, initialBufBytes))
 }
 
 // putBuf recycles a buffer whose contents the transport has copied.

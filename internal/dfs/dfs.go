@@ -238,6 +238,16 @@ type block struct {
 type file struct {
 	blocks []*block
 	size   int64
+
+	// memo is one value derived from the file's published bytes (the
+	// ORC reader keeps its decoded footer here). Writer.Close publishes
+	// a file and nothing changes it afterwards, while overwrite and
+	// delete replace or drop the *file itself, so the memo lives and
+	// dies with the bytes it was derived from and needs no eviction.
+	// memoSize is the file size it was derived at.
+	memoMu   sync.Mutex
+	memo     any
+	memoSize int64
 }
 
 // New creates an empty file system. A Replication target above the
@@ -582,6 +592,31 @@ var (
 
 // Size returns the total file length.
 func (r *Reader) Size() int64 { return r.size }
+
+// Memo returns the value decode derives from the file's bytes,
+// calling decode at most once per published file: the value is kept
+// on the immutable file object, so an overwrite or delete drops it
+// and a rename keeps it. It is keyed on the reader's latched size too,
+// so a reader opened while the file is still being written never
+// shares a value with the finished file. Only successful decodes are
+// kept. decode runs under a per-file lock, so concurrent first opens
+// decode once; it never runs under the namespace lock, should read
+// through r and must not call Memo itself. Each file holds one memo,
+// so every caller must derive the same kind of value.
+func (r *Reader) Memo(decode func() (any, error)) (any, error) {
+	f := r.f
+	f.memoMu.Lock()
+	defer f.memoMu.Unlock()
+	if f.memo != nil && f.memoSize == r.size {
+		return f.memo, nil
+	}
+	v, err := decode()
+	if err != nil {
+		return nil, err
+	}
+	f.memo, f.memoSize = v, r.size
+	return v, nil
+}
 
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) {

@@ -92,3 +92,39 @@ func BenchmarkORCScanBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkORCOpenSplit opens every split of a many-stripe file (one
+// stripe per 4 KB block) and reports the per-split open cost, the
+// part of a scan that grows with splits × stripes if the file footer
+// is decoded per split rather than once per file.
+func BenchmarkORCOpenSplit(b *testing.B) {
+	fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n1"}})
+	schema := testSchema()
+	w, err := CreateTableFile(fs, "/open.orc", FormatORC, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range testRows(20000) {
+		if err := w.Write(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	splits, err := fs.Splits("/open.orc", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range splits {
+			if _, err := OpenSplit(fs, sp, FormatORC, schema, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(splits)), "ns/split")
+	b.ReportMetric(float64(len(splits)), "splits")
+}

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync/atomic"
 
+	"hivempi/internal/dfs"
 	"hivempi/internal/types"
 	"hivempi/internal/vec"
 )
@@ -84,6 +86,13 @@ type orcWriter struct {
 	approxBytes int64
 	offset      int64
 	footer      orcFooter
+
+	// stripe assembles one stripe's compressed streams and fw is the
+	// compressor Reset for every column stream; both are reused across
+	// stripes (flate.Writer.Reset is equivalent to NewWriter, so the
+	// bytes are the same as with a fresh writer per stream).
+	stripe bytes.Buffer
+	fw     *flate.Writer
 }
 
 func newORCWriter(w io.WriteCloser, schema *types.Schema, opts ORCOptions) *orcWriter {
@@ -124,21 +133,26 @@ func (ow *orcWriter) flushStripe() error {
 	}
 	meta := orcStripeMeta{Offset: ow.offset, Rows: ow.rows}
 	meta.ColOffsets = make([]int64, 0, ow.schema.Len()+1)
-	var stripe bytes.Buffer
+	stripe := &ow.stripe
+	stripe.Reset()
+	if ow.fw == nil {
+		fw, err := flate.NewWriter(stripe, flate.BestSpeed)
+		if err != nil {
+			return err
+		}
+		ow.fw = fw
+	}
 	for ci, col := range ow.cols {
 		meta.ColOffsets = append(meta.ColOffsets, int64(stripe.Len()))
 		raw, err := encodeColumn(ow.schema.Columns[ci].Type, col)
 		if err != nil {
 			return err
 		}
-		fw, err := flate.NewWriter(&stripe, flate.BestSpeed)
-		if err != nil {
+		ow.fw.Reset(stripe)
+		if _, err := ow.fw.Write(raw); err != nil {
 			return err
 		}
-		if _, err := fw.Write(raw); err != nil {
-			return err
-		}
-		if err := fw.Close(); err != nil {
+		if err := ow.fw.Close(); err != nil {
 			return err
 		}
 		meta.Stats = append(meta.Stats, columnStats(col))
@@ -205,8 +219,23 @@ func (ow *orcWriter) Close() error {
 	return ow.w.Close()
 }
 
-// readORCFooter parses the footer from a ReadSeeker.
+// orcFooterDecodes counts readORCFooter calls. It is a test hook: the
+// per-file memo must hold it to one decode per published file.
+var orcFooterDecodes atomic.Int64
+
+// openORCFooter returns r's file footer, decoded and validated once per
+// published DFS file and shared read-only by every split reader after.
+func openORCFooter(r *dfs.Reader) (*orcFooter, error) {
+	v, err := r.Memo(func() (any, error) { return readORCFooter(r) })
+	if err != nil {
+		return nil, err
+	}
+	return v.(*orcFooter), nil
+}
+
+// readORCFooter parses and validates the footer from a ReadSeeker.
 func readORCFooter(r io.ReadSeeker) (*orcFooter, error) {
+	orcFooterDecodes.Add(1)
 	end, err := r.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, err
@@ -239,16 +268,51 @@ func readORCFooter(r io.ReadSeeker) (*orcFooter, error) {
 	if err := json.Unmarshal(fb, &footer); err != nil {
 		return nil, fmt.Errorf("storage: orc footer: %w", err)
 	}
+	if err := footer.validate(end - 8 - flen); err != nil {
+		return nil, err
+	}
 	return &footer, nil
+}
+
+// validate checks the footer's structure against the dataEnd bytes of
+// stripe data that precede it, so readers can index column offsets
+// and statistics without further bounds checks.
+func (f *orcFooter) validate(dataEnd int64) error {
+	nCols := len(f.Columns)
+	for i, st := range f.Stripes {
+		if st.Offset < 0 || st.Length < 0 || st.Offset > dataEnd || st.Length > dataEnd-st.Offset {
+			return fmt.Errorf("storage: orc footer: stripe %d [%d,+%d) outside data region of %d bytes",
+				i, st.Offset, st.Length, dataEnd)
+		}
+		if st.Rows < 0 {
+			return fmt.Errorf("storage: orc footer: stripe %d has %d rows", i, st.Rows)
+		}
+		if len(st.ColOffsets) != nCols+1 {
+			return fmt.Errorf("storage: orc footer: stripe %d has %d column offsets, want %d",
+				i, len(st.ColOffsets), nCols+1)
+		}
+		prev := int64(0)
+		for _, off := range st.ColOffsets {
+			if off < prev || off > st.Length {
+				return fmt.Errorf("storage: orc footer: stripe %d column offsets %v not monotone within %d bytes",
+					i, st.ColOffsets, st.Length)
+			}
+			prev = off
+		}
+		if len(st.Stats) != nCols {
+			return fmt.Errorf("storage: orc footer: stripe %d has %d column stats, want %d",
+				i, len(st.Stats), nCols)
+		}
+	}
+	return nil
 }
 
 // orcSplitReader serves the stripes whose start offset lies inside the
 // split range, materializing only projected columns and skipping
 // stripes pruned by the predicate's min/max check.
 type orcSplitReader struct {
-	r       io.ReadSeeker
+	r       *dfs.Reader
 	schema  *types.Schema
-	footer  *orcFooter
 	stripes []orcStripeMeta
 	project []int
 
@@ -263,22 +327,31 @@ type orcSplitReader struct {
 	// row mode or batch mode, never both.
 	vcols []*decodedColumn
 
+	// Per-reader stream scratch, reused for every column stream: the
+	// compressed bytes, their reader, the inflater (reset through
+	// flate.Resetter) and the inflated bytes. The column decoders copy
+	// what they keep, so raw is free again once a stream is decoded.
+	comp     []byte
+	compRd   bytes.Reader
+	inflater io.ReadCloser
+	raw      bytes.Buffer
+
 	// BytesReadPhysical counts compressed bytes actually fetched, the
 	// quantity that makes ORC cheaper than Text in the cost model.
 	BytesReadPhysical int64
 	StripesSkipped    int64
 }
 
-func newORCSplitReader(r io.ReadSeeker, offset, length int64, schema *types.Schema,
+func newORCSplitReader(r *dfs.Reader, offset, length int64, schema *types.Schema,
 	projection []int, predicate *Predicate) (*orcSplitReader, error) {
-	footer, err := readORCFooter(r)
+	footer, err := openORCFooter(r)
 	if err != nil {
 		return nil, err
 	}
 	if len(footer.Columns) != schema.Len() {
 		return nil, fmt.Errorf("storage: orc has %d columns, schema %d", len(footer.Columns), schema.Len())
 	}
-	sr := &orcSplitReader{r: r, schema: schema, footer: footer, project: projection}
+	sr := &orcSplitReader{r: r, schema: schema, project: projection}
 	for _, st := range footer.Stripes {
 		if st.Offset < offset || st.Offset >= offset+length {
 			continue
@@ -308,26 +381,34 @@ func (sr *orcSplitReader) projected() []int {
 	return all
 }
 
-// readColumnStream fetches and inflates one column's stream of st.
+// readColumnStream fetches and inflates one column's stream of st. The
+// returned bytes alias the reader's scratch and are valid until the
+// next call.
 func (sr *orcSplitReader) readColumnStream(st orcStripeMeta, ci int) ([]byte, error) {
 	if ci < 0 || ci >= sr.schema.Len() {
 		return nil, fmt.Errorf("storage: orc projection column %d out of range", ci)
 	}
 	lo := st.Offset + st.ColOffsets[ci]
-	hi := st.Offset + st.ColOffsets[ci+1]
-	comp := make([]byte, hi-lo)
-	if _, err := sr.r.Seek(lo, io.SeekStart); err != nil {
-		return nil, err
+	n := int(st.ColOffsets[ci+1] - st.ColOffsets[ci])
+	if cap(sr.comp) < n {
+		sr.comp = make([]byte, n)
 	}
-	if _, err := io.ReadFull(sr.r, comp); err != nil {
+	comp := sr.comp[:n]
+	if _, err := sr.r.ReadAt(comp, lo); err != nil {
 		return nil, fmt.Errorf("storage: orc column stream: %w", err)
 	}
-	sr.BytesReadPhysical += int64(len(comp))
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
-	if err != nil {
+	sr.BytesReadPhysical += int64(n)
+	sr.compRd.Reset(comp)
+	if sr.inflater == nil {
+		sr.inflater = flate.NewReader(&sr.compRd)
+	} else if err := sr.inflater.(flate.Resetter).Reset(&sr.compRd, nil); err != nil {
 		return nil, fmt.Errorf("storage: orc inflate: %w", err)
 	}
-	return raw, nil
+	sr.raw.Reset()
+	if _, err := sr.raw.ReadFrom(sr.inflater); err != nil {
+		return nil, fmt.Errorf("storage: orc inflate: %w", err)
+	}
+	return sr.raw.Bytes(), nil
 }
 
 // loadStripe decompresses the projected columns of stripe si.

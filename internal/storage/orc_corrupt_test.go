@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -108,5 +110,56 @@ func TestORCEmptySchemaMismatch(t *testing.T) {
 	if _, err := OpenSplit(fs, dfs.Split{Path: path, Offset: 0, Length: sz},
 		FormatORC, wrong, nil, nil); err == nil {
 		t.Error("column count mismatch not detected")
+	}
+}
+
+// rewriteFooter re-encodes b's footer after mutate edits it, keeping the
+// stripe data, so a structurally wrong but well-formed footer reaches
+// the reader.
+func rewriteFooter(t *testing.T, b []byte, mutate func(*orcFooter)) []byte {
+	t.Helper()
+	flen := int(binary.LittleEndian.Uint32(b[len(b)-8:]))
+	dataEnd := len(b) - 8 - flen
+	var footer orcFooter
+	if err := json.Unmarshal(b[dataEnd:len(b)-8], &footer); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&footer)
+	fb, err := json.Marshal(&footer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(append([]byte(nil), b[:dataEnd]...), fb...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(fb)))
+	return append(out, orcMagic...)
+}
+
+func TestORCFooterStructureRejected(t *testing.T) {
+	cases := map[string]func(*orcFooter){
+		"short colOffsets": func(f *orcFooter) {
+			f.Stripes[0].ColOffsets = f.Stripes[0].ColOffsets[:1]
+		},
+		"non-monotone colOffsets": func(f *orcFooter) {
+			co := f.Stripes[0].ColOffsets
+			co[0], co[1] = co[1], co[0]
+		},
+		"colOffsets past stripe": func(f *orcFooter) {
+			f.Stripes[0].ColOffsets[2] = f.Stripes[0].Length + 1
+		},
+		"stripe past data region": func(f *orcFooter) {
+			f.Stripes[0].Length += 1 << 20
+		},
+		"negative stripe offset": func(f *orcFooter) {
+			f.Stripes[0].Offset = -1
+		},
+		"stats count": func(f *orcFooter) {
+			f.Stripes[0].Stats = f.Stripes[0].Stats[:1]
+		},
+	}
+	for name, mutate := range cases {
+		err := openCorrupted(t, func(b []byte) []byte { return rewriteFooter(t, b, mutate) })
+		if err == nil || !strings.Contains(err.Error(), "orc footer") {
+			t.Errorf("%s: not rejected at footer decode: %v", name, err)
+		}
 	}
 }

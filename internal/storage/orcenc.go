@@ -57,10 +57,10 @@ func decodePresence(buf []byte) ([]bool, int, error) {
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: orc presence count")
 	}
-	nbytes := (int(n) + 7) / 8
-	if len(buf) < used+nbytes {
+	if n > uint64(len(buf)-used)*8 {
 		return nil, 0, fmt.Errorf("storage: orc presence bitmap truncated")
 	}
+	nbytes := int((n + 7) / 8)
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = buf[used+i/8]&(1<<(i%8)) != 0
@@ -107,10 +107,15 @@ func appendInts(buf []byte, vals []int64) []byte {
 }
 
 // decodeInts reverses appendInts, returning values and bytes consumed.
-func decodeInts(buf []byte) ([]int64, int, error) {
+// A stream claiming more than limit values is rejected before any
+// allocation (runs make the count independent of the stream's length).
+func decodeInts(buf []byte, limit int) ([]int64, int, error) {
 	total, used := binary.Uvarint(buf)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: orc int count")
+	}
+	if total > uint64(limit) {
+		return nil, 0, fmt.Errorf("storage: orc int count %d exceeds %d rows", total, limit)
 	}
 	pos := used
 	out := make([]int64, 0, total)
@@ -121,7 +126,7 @@ func decodeInts(buf []byte) ([]int64, int, error) {
 		kind := buf[pos]
 		pos++
 		count, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
+		if n <= 0 || count > total-uint64(len(out)) {
 			return nil, 0, fmt.Errorf("storage: orc int block count")
 		}
 		pos += n
@@ -165,10 +170,10 @@ func decodeFloats(buf []byte) ([]float64, int, error) {
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: orc float count")
 	}
-	need := used + int(total)*8
-	if len(buf) < need {
+	if total > uint64(len(buf)-used)/8 {
 		return nil, 0, fmt.Errorf("storage: orc float stream truncated")
 	}
+	need := used + int(total)*8
 	out := make([]float64, total)
 	for i := range out {
 		bits := binary.LittleEndian.Uint64(buf[used+i*8:])
@@ -213,10 +218,15 @@ func appendStrings(buf []byte, vals []string) []byte {
 	return buf
 }
 
-func decodeStrings(buf []byte) ([]string, int, error) {
+// decodeStrings reverses appendStrings; like decodeInts it rejects a
+// stream claiming more than limit values.
+func decodeStrings(buf []byte, limit int) ([]string, int, error) {
 	total, used := binary.Uvarint(buf)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: orc string count")
+	}
+	if total > uint64(limit) {
+		return nil, 0, fmt.Errorf("storage: orc string count %d exceeds %d rows", total, limit)
 	}
 	pos := used
 	if total == 0 {
@@ -231,14 +241,14 @@ func decodeStrings(buf []byte) ([]string, int, error) {
 	switch mode {
 	case strDict:
 		dlen, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
+		if n <= 0 || dlen > uint64(len(buf)-pos-n) {
 			return nil, 0, fmt.Errorf("storage: orc dict size")
 		}
 		pos += n
 		dict := make([]string, dlen)
 		for i := range dict {
 			l, n := binary.Uvarint(buf[pos:])
-			if n <= 0 || pos+n+int(l) > len(buf) {
+			if n <= 0 || l > uint64(len(buf)-pos-n) {
 				return nil, 0, fmt.Errorf("storage: orc dict entry")
 			}
 			pos += n
@@ -257,7 +267,7 @@ func decodeStrings(buf []byte) ([]string, int, error) {
 		lens := make([]int, total)
 		for i := range lens {
 			l, n := binary.Uvarint(buf[pos:])
-			if n <= 0 {
+			if n <= 0 || l > uint64(len(buf)) {
 				return nil, 0, fmt.Errorf("storage: orc string length")
 			}
 			pos += n
@@ -337,7 +347,7 @@ func decodeColumnStreams(kind types.Kind, buf []byte) (*decodedColumn, error) {
 	}
 	switch kind {
 	case types.KindBool, types.KindInt, types.KindDate:
-		dc.ints, _, err = decodeInts(buf[pos:])
+		dc.ints, _, err = decodeInts(buf[pos:], len(present))
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +363,7 @@ func decodeColumnStreams(kind types.Kind, buf []byte) (*decodedColumn, error) {
 			return nil, fmt.Errorf("storage: orc float column short")
 		}
 	case types.KindString:
-		dc.strs, _, err = decodeStrings(buf[pos:])
+		dc.strs, _, err = decodeStrings(buf[pos:], len(present))
 		if err != nil {
 			return nil, err
 		}
@@ -411,7 +421,7 @@ func decodeColumn(kind types.Kind, buf []byte) ([]types.Datum, error) {
 	out := make([]types.Datum, len(present))
 	switch kind {
 	case types.KindBool, types.KindInt, types.KindDate:
-		vals, _, err := decodeInts(buf[pos:])
+		vals, _, err := decodeInts(buf[pos:], len(present))
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +451,7 @@ func decodeColumn(kind types.Kind, buf []byte) ([]types.Datum, error) {
 			}
 		}
 	case types.KindString:
-		vals, _, err := decodeStrings(buf[pos:])
+		vals, _, err := decodeStrings(buf[pos:], len(present))
 		if err != nil {
 			return nil, err
 		}

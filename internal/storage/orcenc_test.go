@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,7 +21,7 @@ func TestIntRLERoundTrip(t *testing.T) {
 	}
 	for i, vals := range cases {
 		buf := appendInts(nil, vals)
-		got, n, err := decodeInts(buf)
+		got, n, err := decodeInts(buf, len(vals))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -51,7 +53,7 @@ func TestIntRLECompressesRuns(t *testing.T) {
 func TestIntRLEProperty(t *testing.T) {
 	f := func(vals []int64) bool {
 		buf := appendInts(nil, vals)
-		got, _, err := decodeInts(buf)
+		got, _, err := decodeInts(buf, len(vals))
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -77,7 +79,7 @@ func TestStringDictionaryChosenForLowCardinality(t *testing.T) {
 	if buf[2] != strDict {
 		t.Error("low-cardinality strings should use dictionary encoding")
 	}
-	got, _, err := decodeStrings(buf)
+	got, _, err := decodeStrings(buf, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestStringDirectChosenForHighCardinality(t *testing.T) {
 	if buf[2] != strDirect && buf[1] != strDirect {
 		t.Error("unique strings should use direct encoding")
 	}
-	got, _, err := decodeStrings(buf)
+	got, _, err := decodeStrings(buf, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestStringDirectChosenForHighCardinality(t *testing.T) {
 func TestStringsProperty(t *testing.T) {
 	f := func(vals []string) bool {
 		buf := appendStrings(nil, vals)
-		got, _, err := decodeStrings(buf)
+		got, _, err := decodeStrings(buf, len(vals))
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -198,15 +200,55 @@ func TestColumnRoundTripWithNulls(t *testing.T) {
 }
 
 func TestDecodeCorruption(t *testing.T) {
-	if _, _, err := decodeInts([]byte{}); err == nil {
+	if _, _, err := decodeInts([]byte{}, 8); err == nil {
 		t.Error("empty int stream should fail")
 	}
 	good := appendInts(nil, []int64{1, 2, 3, 4, 5, 6, 7, 8})
-	if _, _, err := decodeInts(good[:len(good)-2]); err == nil {
+	if _, _, err := decodeInts(good[:len(good)-2], 8); err == nil {
 		t.Error("truncated int stream should fail")
 	}
 	goodS := appendStrings(nil, []string{"hello", "world"})
-	if _, _, err := decodeStrings(goodS[:len(goodS)-3]); err == nil {
+	if _, _, err := decodeStrings(goodS[:len(goodS)-3], 2); err == nil {
 		t.Error("truncated string stream should fail")
+	}
+}
+
+// TestDecodeHostileCounts feeds stream headers whose counts or lengths
+// claim far more data than the stream holds: each must be an error,
+// not an out-of-range allocation or slice panic.
+func TestDecodeHostileCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, math.MaxUint64)
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	one := binary.AppendUvarint(nil, 1)
+	if _, _, err := decodePresence(huge); err == nil {
+		t.Error("presence count past the bitmap accepted")
+	}
+	if _, _, err := decodeInts(huge, 8); err == nil {
+		t.Error("int count past the row count accepted")
+	}
+	// One value claimed, but a run block of 2^64-1 copies.
+	if _, _, err := decodeInts(cat(one, []byte{blkRun}, huge, []byte{2}), 8); err == nil {
+		t.Error("int run past the claimed count accepted")
+	}
+	if _, _, err := decodeFloats(huge); err == nil {
+		t.Error("float count past the stream accepted")
+	}
+	if _, _, err := decodeStrings(cat(huge, []byte{strDirect}), 8); err == nil {
+		t.Error("string count past the row count accepted")
+	}
+	if _, _, err := decodeStrings(cat(one, []byte{strDict}, huge), 8); err == nil {
+		t.Error("dictionary size past the stream accepted")
+	}
+	if _, _, err := decodeStrings(cat(one, []byte{strDict}, one, huge), 8); err == nil {
+		t.Error("dictionary entry past the stream accepted")
+	}
+	if _, _, err := decodeStrings(cat(one, []byte{strDirect}, huge, []byte("x")), 8); err == nil {
+		t.Error("string length past the stream accepted")
 	}
 }
