@@ -53,12 +53,22 @@ var HotRootPackages = []string{"kvio", "datampi", "vec"}
 
 // HotRootMethods are individual hot entry points outside those
 // packages, keyed by internal package name, then receiver type name
-// ("" for free functions): the dfs per-I/O paths and the plan cache's
-// per-statement lookup/insert path in hive.
+// ("" for free functions): the dfs per-I/O paths, the plan cache's
+// per-statement lookup/insert path in hive, and the text/Hadoop map
+// path (per-line text parse, per-pair collect, per-spill sort).
 var HotRootMethods = map[string]map[string][]string{
 	"dfs": {
 		"Writer": {"Write"},
 		"Reader": {"Read", "ReadAt"},
+	},
+	"types": {
+		"": {"ParseRowText"},
+	},
+	"storage": {
+		"textSplitReader": {"Next"},
+	},
+	"hadoop": {
+		"MapContext": {"Emit", "sortAndSpill"},
 	},
 	"hive": {
 		"PlanCache": {"lookup", "put"},

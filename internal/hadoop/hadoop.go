@@ -124,7 +124,8 @@ type Job struct {
 
 // mapOutput is the materialized, partition-indexed output of one map
 // task (the file.out + index of real Hadoop). Data lives in a local
-// temp file; offsets[p]..offsets[p+1] delimit partition p.
+// temp file; offsets[p]..offsets[p+1] delimit partition p. A task that
+// emitted nothing has all-zero offsets and no file.
 type mapOutput struct {
 	file    *os.File
 	offsets []int64
@@ -132,6 +133,9 @@ type mapOutput struct {
 
 func (mo *mapOutput) partition(p int) ([]byte, error) {
 	lo, hi := mo.offsets[p], mo.offsets[p+1]
+	if hi == lo {
+		return nil, nil
+	}
 	buf := make([]byte, hi-lo)
 	if _, err := mo.file.ReadAt(buf, lo); err != nil && !(err == io.EOF && int64(len(buf)) == hi-lo) {
 		return nil, err
@@ -250,9 +254,7 @@ func (f *completionFanout) subscribe(r int) <-chan int { return f.subs[r] }
 func (j *Job) cleanup() {
 	for _, mo := range j.mapOutputs {
 		if mo != nil && mo.file != nil {
-			name := mo.file.Name()
-			mo.file.Close()
-			os.Remove(name)
+			removeFile(mo.file)
 		}
 	}
 }

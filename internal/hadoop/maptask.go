@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"hivempi/internal/kvio"
 	"hivempi/internal/trace"
@@ -83,12 +84,7 @@ func (m *MapContext) sortAndSpill() error {
 	if len(m.pairs) == 0 {
 		return nil
 	}
-	sort.SliceStable(m.pairs, func(i, j int) bool {
-		if m.pairs[i].part != m.pairs[j].part {
-			return m.pairs[i].part < m.pairs[j].part
-		}
-		return bytes.Compare(m.pairs[i].kv.Key, m.pairs[j].kv.Key) < 0
-	})
+	slices.SortStableFunc(m.pairs, compareMapPairs)
 	f, err := os.CreateTemp(m.job.cfg.SpillDir, "hadoop-spill-*.run")
 	if err != nil {
 		return fmt.Errorf("hadoop: create spill: %w", err)
@@ -103,14 +99,14 @@ func (m *MapContext) sortAndSpill() error {
 			j++
 		}
 		if err := m.writePartition(kw, m.pairs[i:j]); err != nil {
-			f.Close()
+			removeFile(f)
 			return err
 		}
 		i = j
 	}
 	offsets[m.job.cfg.NumReduces] = kw.BytesWritten()
 	if err := kw.Flush(); err != nil {
-		f.Close()
+		removeFile(f)
 		return fmt.Errorf("hadoop: flush spill: %w", err)
 	}
 	m.metrics.SpillCount++
@@ -120,6 +116,14 @@ func (m *MapContext) sortAndSpill() error {
 	m.pairs = nil
 	m.pairBytes = 0
 	return nil
+}
+
+// compareMapPairs orders the sort buffer by (partition, key).
+func compareMapPairs(a, b mapPair) int {
+	if a.part != b.part {
+		return a.part - b.part
+	}
+	return bytes.Compare(a.kv.Key, b.kv.Key)
 }
 
 // writePartition writes one partition's sorted pairs, combining first
@@ -155,8 +159,11 @@ func (m *MapContext) writePartition(kw *kvio.Writer, pairs []mapPair) error {
 	return nil
 }
 
-// close runs the final spill and merges all spill runs into the task's
-// partition-indexed output file (Hadoop's final merge to file.out).
+// close runs the final spill and publishes the task's partition-indexed
+// output (Hadoop's mergeParts to file.out). A lone spill already is that
+// output, so it is published in place, as mergeParts renames spill0.out;
+// a task that emitted nothing publishes an all-empty index and no file;
+// several spills are k-way merged into one new file.
 func (m *MapContext) close() (*mapOutput, error) {
 	if m.job.cfg.NumReduces == 0 {
 		return nil, nil
@@ -164,55 +171,22 @@ func (m *MapContext) close() (*mapOutput, error) {
 	if err := m.sortAndSpill(); err != nil {
 		return nil, err
 	}
-	out, err := os.CreateTemp(m.job.cfg.SpillDir, "hadoop-mapout-*.out")
-	if err != nil {
-		return nil, fmt.Errorf("hadoop: create map output: %w", err)
-	}
-	kw := kvio.NewWriter(out)
-	offsets := make([]int64, m.job.cfg.NumReduces+1)
-	for p := 0; p < m.job.cfg.NumReduces; p++ {
-		offsets[p] = kw.BytesWritten()
-		sources := make([]kvio.Source, 0, len(m.spills))
-		for _, sp := range m.spills {
-			lo, hi := sp.offsets[p], sp.offsets[p+1]
-			if hi == lo {
-				continue
-			}
-			buf := make([]byte, hi-lo)
-			if _, err := sp.file.ReadAt(buf, lo); err != nil {
-				out.Close()
-				return nil, fmt.Errorf("hadoop: read spill segment: %w", err)
-			}
-			kvs, err := kvio.DecodeAll(buf)
-			if err != nil {
-				out.Close()
-				return nil, err
-			}
-			sources = append(sources, &kvio.SliceSource{KVs: kvs})
-		}
-		merge, err := kvio.NewMerge(sources)
-		if err != nil {
-			out.Close()
+	runs := len(m.spills)
+	var out *mapOutput
+	switch runs {
+	case 0:
+		out = &mapOutput{offsets: make([]int64, m.job.cfg.NumReduces+1)}
+	case 1:
+		out = &mapOutput{file: m.spills[0].file, offsets: m.spills[0].offsets}
+	default:
+		var err error
+		if out, err = m.mergeSpills(); err != nil {
 			return nil, err
 		}
-		for {
-			kv, err := merge.Next()
-			if err != nil {
-				break
-			}
-			if werr := kw.Write(kv); werr != nil {
-				out.Close()
-				return nil, fmt.Errorf("hadoop: write map output: %w", werr)
-			}
-		}
+		m.abandon()
 	}
-	offsets[m.job.cfg.NumReduces] = kw.BytesWritten()
-	if err := kw.Flush(); err != nil {
-		out.Close()
-		return nil, fmt.Errorf("hadoop: flush map output: %w", err)
-	}
-	m.metrics.ShuffleOutBytes = kw.BytesWritten()
-	m.metrics.MergeRuns = int64(len(m.spills))
+	m.metrics.ShuffleOutBytes = out.offsets[m.job.cfg.NumReduces]
+	m.metrics.MergeRuns = int64(runs)
 	// Timeline reconstruction mirrors datampi: progress fraction at
 	// each spill.
 	for _, mark := range m.flushMarks {
@@ -225,24 +199,83 @@ func (m *MapContext) close() (*mapOutput, error) {
 			Bytes:    m.metrics.SpillBytes / int64(max(len(m.flushMarks), 1)),
 		})
 	}
-	// Spill runs are merged; release them.
-	for _, sp := range m.spills {
-		name := sp.file.Name()
-		sp.file.Close()
-		os.Remove(name)
-	}
 	m.spills = nil
+	return out, nil
+}
+
+// mergeSpills k-way merges every spill run, partition by partition, into
+// a new output file.
+func (m *MapContext) mergeSpills() (*mapOutput, error) {
+	out, err := os.CreateTemp(m.job.cfg.SpillDir, "hadoop-mapout-*.out")
+	if err != nil {
+		return nil, fmt.Errorf("hadoop: create map output: %w", err)
+	}
+	offsets, err := m.mergeInto(kvio.NewWriter(out))
+	if err != nil {
+		removeFile(out)
+		return nil, err
+	}
 	return &mapOutput{file: out, offsets: offsets}, nil
 }
 
-// abandon discards a failed attempt's spill files.
+func (m *MapContext) mergeInto(kw *kvio.Writer) ([]int64, error) {
+	offsets := make([]int64, m.job.cfg.NumReduces+1)
+	for p := 0; p < m.job.cfg.NumReduces; p++ {
+		offsets[p] = kw.BytesWritten()
+		sources := make([]kvio.Source, 0, len(m.spills))
+		for _, sp := range m.spills {
+			lo, hi := sp.offsets[p], sp.offsets[p+1]
+			if hi == lo {
+				continue
+			}
+			buf := make([]byte, hi-lo)
+			if _, err := sp.file.ReadAt(buf, lo); err != nil {
+				return nil, fmt.Errorf("hadoop: read spill segment: %w", err)
+			}
+			kvs, err := kvio.DecodeAll(buf)
+			if err != nil {
+				return nil, err
+			}
+			sources = append(sources, &kvio.SliceSource{KVs: kvs})
+		}
+		merge, err := kvio.NewMerge(sources)
+		if err != nil {
+			return nil, err
+		}
+		for {
+			kv, err := merge.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("hadoop: merge spills: %w", err)
+			}
+			if err := kw.Write(kv); err != nil {
+				return nil, fmt.Errorf("hadoop: write map output: %w", err)
+			}
+		}
+	}
+	offsets[m.job.cfg.NumReduces] = kw.BytesWritten()
+	if err := kw.Flush(); err != nil {
+		return nil, fmt.Errorf("hadoop: flush map output: %w", err)
+	}
+	return offsets, nil
+}
+
+// abandon discards the task's spill files: a failed attempt's, or the
+// runs a merge has consumed.
 func (m *MapContext) abandon() {
 	for _, sp := range m.spills {
-		name := sp.file.Name()
-		sp.file.Close()
-		os.Remove(name)
+		removeFile(sp.file)
 	}
 	m.spills = nil
+}
+
+// removeFile closes and deletes a local spill or output file.
+func removeFile(f *os.File) {
+	name := f.Name()
+	f.Close()
+	os.Remove(name)
 }
 
 // runMap executes one map task under the slot pool, retrying failed

@@ -94,6 +94,11 @@ func DecodeRow(buf []byte) (Row, int, error) {
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("decode row: bad column count")
 	}
+	// Every datum takes at least its kind byte, so a count beyond the
+	// remaining bytes is corrupt; reject it before sizing the row.
+	if n > uint64(len(buf)-used) {
+		return nil, 0, fmt.Errorf("decode row: %d columns in %d bytes", n, len(buf)-used)
+	}
 	pos := used
 	row := make(Row, 0, n)
 	for i := uint64(0); i < n; i++ {

@@ -97,13 +97,77 @@ func String(s string) Datum { return Datum{K: KindString, S: s} }
 // Date builds a date datum from days since the Unix epoch.
 func Date(days int64) Datum { return Datum{K: KindDate, I: days} }
 
-// DateFromString parses "YYYY-MM-DD" into a date datum.
+// DateFromString parses "YYYY-MM-DD" into a date datum. A well-formed
+// date is decoded directly; anything else goes through time.Parse,
+// which accepts and rejects exactly the same strings.
 func DateFromString(s string) (Datum, error) {
+	if days, ok := civilDays(s); ok {
+		return Date(days), nil
+	}
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return Datum{}, fmt.Errorf("parse date %q: %w", s, err)
 	}
 	return Date(t.Unix() / 86400), nil
+}
+
+// civilDays decodes a valid "YYYY-MM-DD" date to days since 1970-01-01
+// (the proleptic Gregorian calendar, as in package time). ok is false
+// for any other input, including out-of-range months and days.
+func civilDays(s string) (days int64, ok bool) {
+	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
+		return 0, false
+	}
+	y, okY := decimal(s[0:4])
+	m, okM := decimal(s[5:7])
+	d, okD := decimal(s[8:10])
+	if !okY || !okM || !okD {
+		return 0, false
+	}
+	if m < 1 || m > 12 || d < 1 || d > daysInMonth(m, y) {
+		return 0, false
+	}
+	// Days from civil (H. Hinnant): shift the year to start in March
+	// so the leap day is the last day of the shifted year.
+	if m <= 2 {
+		y--
+	}
+	era := y
+	if era < 0 {
+		era -= 399
+	}
+	era /= 400
+	yoe := y - era*400
+	mp := (m + 9) % 12
+	doy := (153*mp+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return era*146097 + doe - 719468, true
+}
+
+// decimal parses a short all-digit string; ok is false on any other byte.
+func decimal(s string) (v int64, ok bool) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, true
+}
+
+func daysInMonth(m, y int64) int64 {
+	switch m {
+	case 2:
+		if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	default:
+		return 31
+	}
 }
 
 // MustDate parses "YYYY-MM-DD" and panics on malformed input; it is

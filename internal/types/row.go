@@ -78,19 +78,43 @@ func (s *Schema) String() string {
 }
 
 // ParseRowText parses one text-serde line into a row for the schema.
+// It walks the fields in place; a line whose field count does not match
+// the schema reports that before any column's parse error.
 func ParseRowText(line string, delim byte, s *Schema) (Row, error) {
-	fields := strings.Split(line, string(delim))
-	if len(fields) != len(s.Columns) {
-		return nil, fmt.Errorf("row has %d fields, schema %s has %d",
-			len(fields), s, len(s.Columns))
+	n := len(s.Columns)
+	if n == 0 {
+		return nil, fieldCountError(line, delim, s)
 	}
-	row := make(Row, len(fields))
-	for i, f := range fields {
-		d, err := ParseText(f, s.Columns[i].Type)
+	row := make(Row, n)
+	rest := line
+	for i := range row {
+		field := rest
+		end := strings.IndexByte(rest, delim)
+		if (end < 0) != (i == n-1) {
+			return nil, fieldCountError(line, delim, s)
+		}
+		if end >= 0 {
+			field, rest = rest[:end], rest[end+1:]
+		}
+		d, err := ParseText(field, s.Columns[i].Type)
 		if err != nil {
+			if countFields(line, delim) != n {
+				return nil, fieldCountError(line, delim, s)
+			}
 			return nil, fmt.Errorf("column %s: %w", s.Columns[i].Name, err)
 		}
 		row[i] = d
 	}
 	return row, nil
+}
+
+func fieldCountError(line string, delim byte, s *Schema) error {
+	return fmt.Errorf("row has %d fields, schema %s has %d",
+		countFields(line, delim), s, len(s.Columns))
+}
+
+// countFields counts delim-separated fields. The separator is the one
+// byte delim; string(delim) would be its UTF-8 rune encoding.
+func countFields(line string, delim byte) int {
+	return strings.Count(line, string([]byte{delim})) + 1
 }
